@@ -16,6 +16,7 @@
 #include "corpus/alexa.hpp"
 #include "util/atomic_file.hpp"
 #include "util/statistics.hpp"
+#include "util/strings.hpp"
 
 namespace mahimahi::bench {
 
@@ -129,7 +130,8 @@ class PerfReport {
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const Row& row = rows_[i];
       out << (i == 0 ? "" : ",") << "\n    {\"name\": \""
-          << json_escape(row.name) << "\", \"ns_per_op\": " << row.ns_per_op
+          << util::json_escape(row.name) << "\", \"ns_per_op\": "
+          << row.ns_per_op
           << ", \"items_per_second\": " << row.items_per_second
           << ", \"bytes_per_second\": " << row.bytes_per_second << "}";
     }
@@ -138,18 +140,6 @@ class PerfReport {
   }
 
  private:
-  static std::string json_escape(const std::string& text) {
-    std::string escaped;
-    escaped.reserve(text.size());
-    for (const char c : text) {
-      if (c == '"' || c == '\\') {
-        escaped += '\\';
-      }
-      escaped += c;
-    }
-    return escaped;
-  }
-
   std::vector<Row> rows_;
 };
 

@@ -1,36 +1,18 @@
-// Fleet throughput — how many independent replay sessions the runtime
-// sustains when thousands of emulated users are multiplexed onto sharded
-// event loops (src/fleet/). Two measurements:
+// Fleet throughput — how page-load time degrades as more emulated users
+// contend in ONE shared world (src/fleet/): the same page is loaded by
+// fleets of 1, 4 and 16 users on one loop, sharing one origin-server farm
+// and one shell stack. p50 PLT must rise with fleet size (the offered-load
+// story the experiment engine's fleet axis grids over); the run fails if
+// it does not. Every figure is deterministic: a pure function of the
+// seeds, the page and the session template.
 //
-//   - capacity (isolated fleets): MAHI_FLEET_SESSIONS full page loads,
-//     each in its own connection namespace, sharded across the pool —
-//     sessions/sec and page-loads/sec are the host-dependent throughput
-//     figures; p50/p95 PLT and peak concurrency are deterministic.
-//   - degradation (shared-world ladder): the same page loaded by fleets
-//     of 1, 4 and 16 users contending in ONE namespace — p50 PLT rises
-//     with fleet size (the offered-load story the experiment engine's
-//     fleet axis grids over).
-//
-// Determinism contract under test: every session's seed and arrival time
-// derive from (fleet_seed, global session index) alone, so the merged
-// per-session report is byte-identical for ANY shard assignment and ANY
-// thread count. --selfcheck re-runs the whole fleet at a different shard
-// count on a different-size pool and byte-compares the serialized
-// per-session reports; exit 1 on divergence.
-//
-// Scale knobs: MAHI_FLEET_SESSIONS (default 1000 — CI runs the default),
-//              MAHI_FLEET_SHARDS (default: pool thread count),
-//              MAHI_FLEET_STAGGER_US (arrival spacing, default 100 us —
-//              tight enough that the whole default fleet is concurrently
-//              in flight at peak).
-// Output:      BENCH_fleet.json (override with MAHI_FLEET_JSON).
+// Output: BENCH_fleet.json.
 
-#include <cstring>
 #include <string>
 
 #include "bench/common.hpp"
 #include "corpus/site_generator.hpp"
-#include "fleet/fleet.hpp"
+#include "fleet/session_mux.hpp"
 #include "util/assert.hpp"
 
 using namespace mahimahi;
@@ -39,7 +21,7 @@ using namespace mahimahi::bench;
 namespace {
 
 /// A small multi-origin page (3 servers, 8 objects) so the bench measures
-/// the runtime's session-multiplexing overhead, not one giant page.
+/// contention between users, not one giant page.
 CorpusEntry recorded_page() {
   corpus::SiteSpec spec;
   spec.name = "fleet-page";
@@ -55,37 +37,17 @@ CorpusEntry recorded_page() {
   return entry;
 }
 
-core::SessionConfig session_template() {
-  core::SessionConfig config;
-  // A 10 ms one-way delay shell keeps the transport honest (handshakes
-  // and slow start actually pace the load) while staying cheap enough to
-  // run a thousand sessions in the CI smoke tier.
-  config.shells = {core::DelayShellSpec{10'000}};
-  return config;
-}
-
-fleet::FleetSpec fleet_spec(int sessions, int shards, Microseconds stagger) {
-  fleet::FleetSpec spec;
-  spec.sessions = sessions;
-  spec.shards = shards;
-  spec.stagger = stagger;
-  spec.seed = 1;
-  spec.session = session_template();
-  return spec;
-}
-
 /// Shared-world fleet of `sessions` users on one loop; returns the p50
-/// PLT (ms) across its sessions. Deterministic.
-double shared_world_p50(const CorpusEntry& page, int sessions) {
+/// PLT (ms) across its sessions.
+double fleet_p50_ms(const CorpusEntry& page, int sessions) {
   fleet::MuxConfig config;
   config.fleet_seed = 21;
   config.stagger = 10'000;
-  config.session = session_template();
-  config.shared_world = true;
-  fleet::SessionMux mux{page.store, page.site.primary_url(), config};
-  for (int i = 0; i < sessions; ++i) {
-    mux.add_session(i);
-  }
+  // A 10 ms one-way delay shell keeps the transport honest: handshakes
+  // and slow start actually pace the load.
+  config.session.shells = {core::DelayShellSpec{10'000}};
+  fleet::SessionMux mux{page.store, page.site.primary_url(), config,
+                        sessions};
   util::Samples plts;
   for (const fleet::SessionOutcome& outcome : mux.run()) {
     MAHI_ASSERT_MSG(outcome.success != 0, "shared-world load failed");
@@ -96,49 +58,14 @@ double shared_world_p50(const CorpusEntry& page, int sessions) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool selfcheck = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--selfcheck") == 0) {
-      selfcheck = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--selfcheck]\n", argv[0]);
-      return 2;
-    }
-  }
-
-  const int sessions = env_int("MAHI_FLEET_SESSIONS", 1000);
-  const int shards = env_int("MAHI_FLEET_SHARDS", 0);
-  const Microseconds stagger =
-      static_cast<Microseconds>(env_int("MAHI_FLEET_STAGGER_US", 100));
-
-  std::printf("=== fleet throughput: %d sessions, stagger %lld us ===\n",
-              sessions, static_cast<long long>(stagger));
+int main() {
+  std::printf("=== fleet throughput: shared-world degradation ladder ===\n");
   const CorpusEntry page = recorded_page();
 
-  const fleet::FleetResult result = fleet::run_fleet(
-      page.store, page.site.primary_url(), fleet_spec(sessions, shards, stagger));
-  std::printf(
-      "fleet: %d sessions over %d shard(s): %.2f s wall, %.1f sessions/s, "
-      "%.1f page-loads/s\n",
-      sessions, result.shards, result.wall_seconds,
-      result.sessions_per_second, result.page_loads_per_second);
-  std::printf("       plt p50 %.1f ms, p95 %.1f ms, peak concurrent %zu, "
-              "failed %zu\n",
-              result.plt_p50_ms, result.plt_p95_ms, result.peak_concurrent,
-              result.failed);
-  if (result.failed != 0) {
-    std::fprintf(stderr, "FAIL: %zu session(s) failed their page load\n",
-                 result.failed);
-    return 1;
-  }
-
-  // --- shared-world degradation ladder (deterministic) ------------------
-  print_rule();
   double ladder_p50[3] = {0, 0, 0};
   const int ladder_sizes[3] = {1, 4, 16};
   for (int i = 0; i < 3; ++i) {
-    ladder_p50[i] = shared_world_p50(page, ladder_sizes[i]);
+    ladder_p50[i] = fleet_p50_ms(page, ladder_sizes[i]);
     std::printf("shared world, %2d user(s): plt p50 %8.1f ms\n",
                 ladder_sizes[i], ladder_p50[i]);
   }
@@ -153,43 +80,10 @@ int main(int argc, char** argv) {
   }
 
   PerfReport report;
-  // Wall-clock rows: host-dependent (baselines mark them informational).
-  report.add({"fleet_sessions_per_sec", 0, result.sessions_per_second, 0});
-  report.add({"fleet_page_loads_per_sec", 0, result.page_loads_per_second, 0});
-  // Deterministic rows: pure functions of (seed, page, session template).
-  report.add({"fleet_plt_p50_ms", result.plt_p50_ms * 1e6, 0, 0});
-  report.add({"fleet_plt_p95_ms", result.plt_p95_ms * 1e6, 0, 0});
-  report.add({"fleet_peak_concurrent",
-              static_cast<double>(result.peak_concurrent), 0, 0});
   for (int i = 0; i < 3; ++i) {
     report.add({"fleet_shared_plt_p50_ms/" + std::to_string(ladder_sizes[i]),
                 ladder_p50[i] * 1e6, 0, 0});
   }
-  const char* out = std::getenv("MAHI_FLEET_JSON");
-  report.write(out != nullptr ? out : "BENCH_fleet.json");
-
-  if (selfcheck) {
-    // Same fleet, deliberately different shard count AND thread count:
-    // the per-session report must not move by a single byte.
-    print_rule();
-    const std::string reference = fleet::serialize_outcomes(result.sessions);
-    const int other_shards = result.shards == 1 ? 3 : 1;
-    core::ParallelRunner other_pool{
-        core::ParallelRunner::shared().thread_count() == 1 ? 3 : 1};
-    const fleet::FleetResult rerun =
-        fleet::run_fleet(page.store, page.site.primary_url(),
-                         fleet_spec(sessions, other_shards, stagger),
-                         &other_pool);
-    const bool identical =
-        fleet::serialize_outcomes(rerun.sessions) == reference;
-    std::printf("selfcheck: per-session reports byte-identical at "
-                "%d vs %d shard(s), %d vs %d thread(s): %s\n",
-                result.shards, rerun.shards,
-                core::ParallelRunner::shared().thread_count(),
-                other_pool.thread_count(), identical ? "yes" : "NO");
-    if (!identical) {
-      return 1;
-    }
-  }
+  report.write("BENCH_fleet.json");
   return 0;
 }

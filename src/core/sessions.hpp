@@ -85,9 +85,8 @@ util::Rng session_load_rng(const SessionConfig& config, int load_index);
 /// One replay session's fully-materialized namespace stack — origin
 /// server farm, DNS, nested shells and browser — on a *caller-owned*
 /// event loop. ReplaySession::load_once builds one per load on a private
-/// loop; fleet::SessionMux multiplexes many of them onto a shared loop
-/// (each world is its own connection namespace: worlds share nothing but
-/// the loop, so sessions cannot alias each other's sockets or timers).
+/// loop, so each load is its own connection namespace. (A fleet cell's
+/// users instead share one namespace; see fleet::SessionMux.)
 class ReplayWorld {
  public:
   ReplayWorld(net::EventLoop& loop, const record::RecordStore& store,

@@ -1,41 +1,25 @@
 #include "experiment/report.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "util/atomic_file.hpp"
+#include "util/strings.hpp"
 
 namespace mahimahi::experiment {
 namespace {
 
-/// Fixed-precision double formatting — the determinism backbone of the
-/// report: printf of a finite double with a fixed precision is a pure
-/// function of the value, so byte-identical samples serialize to
-/// byte-identical text.
-std::string fmt(double value, int precision = 6) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*f", precision, value);
-  return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
-  }
-  return escaped;
-}
-
+// Every double serializes at fixed precision (util::format_fixed): the
+// determinism backbone of the report — byte-identical samples serialize
+// to byte-identical text.
 void append_summary_fields(std::string& out, const util::Samples& plt) {
-  out += "\"plt_median_ms\": " + fmt(plt.empty() ? 0 : plt.median());
-  out += ", \"plt_mean_ms\": " + fmt(plt.empty() ? 0 : plt.mean());
-  out += ", \"plt_p95_ms\": " + fmt(plt.empty() ? 0 : plt.percentile(95));
-  out += ", \"plt_min_ms\": " + fmt(plt.empty() ? 0 : plt.min());
-  out += ", \"plt_max_ms\": " + fmt(plt.empty() ? 0 : plt.max());
+  out += "\"plt_median_ms\": " +
+         util::format_fixed(plt.empty() ? 0 : plt.median(), 6);
+  out += ", \"plt_mean_ms\": " +
+         util::format_fixed(plt.empty() ? 0 : plt.mean(), 6);
+  out += ", \"plt_p95_ms\": " +
+         util::format_fixed(plt.empty() ? 0 : plt.percentile(95), 6);
+  out += ", \"plt_min_ms\": " +
+         util::format_fixed(plt.empty() ? 0 : plt.min(), 6);
+  out += ", \"plt_max_ms\": " +
+         util::format_fixed(plt.empty() ? 0 : plt.max(), 6);
 }
 
 }  // namespace
@@ -44,7 +28,7 @@ std::string Report::to_json() const {
   std::string out;
   out += "{\n";
   out += "  \"schema\": \"mahimahi-experiment-v1\",\n";
-  out += "  \"name\": \"" + json_escape(name) + "\",\n";
+  out += "  \"name\": \"" + util::json_escape(name) + "\",\n";
   out += "  \"seed\": " + std::to_string(seed) + ",\n";
   out += "  \"loads_per_cell\": " + std::to_string(loads_per_cell) + ",\n";
   out += "  \"total_cells\": " + std::to_string(total_cells) + ",\n";
@@ -58,15 +42,15 @@ std::string Report::to_json() const {
     const CellResult& cell = cells[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"index\": " + std::to_string(cell.index);
-    out += ", \"site\": \"" + json_escape(cell.site) + "\"";
-    out += ", \"protocol\": \"" + json_escape(cell.protocol) + "\"";
-    out += ", \"shell\": \"" + json_escape(cell.shell) + "\"";
-    out += ", \"queue\": \"" + json_escape(cell.queue) + "\"";
-    out += ", \"cc\": \"" + json_escape(cell.cc) + "\"";
-    out += ", \"fleet\": \"" + json_escape(cell.fleet) + "\"";
+    out += ", \"site\": \"" + util::json_escape(cell.site) + "\"";
+    out += ", \"protocol\": \"" + util::json_escape(cell.protocol) + "\"";
+    out += ", \"shell\": \"" + util::json_escape(cell.shell) + "\"";
+    out += ", \"queue\": \"" + util::json_escape(cell.queue) + "\"";
+    out += ", \"cc\": \"" + util::json_escape(cell.cc) + "\"";
+    out += ", \"fleet\": \"" + util::json_escape(cell.fleet) + "\"";
     out += ", \"fleet_sessions\": " + std::to_string(cell.fleet_sessions);
     if (fault_axis) {
-      out += ", \"fault\": \"" + json_escape(cell.fault) + "\"";
+      out += ", \"fault\": \"" + util::json_escape(cell.fault) + "\"";
     }
     if (interrupted) {
       out += ", \"loads_done\": " + std::to_string(cell.loads_done);
@@ -79,7 +63,7 @@ std::string Report::to_json() const {
     const auto& values = cell.plt_ms.values();
     for (std::size_t j = 0; j < values.size(); ++j) {
       out += j == 0 ? "" : ", ";
-      out += fmt(values[j]);
+      out += util::format_fixed(values[j], 6);
     }
     out += "]";
     if (fault_axis) {
@@ -88,12 +72,12 @@ std::string Report::to_json() const {
       out += ", \"timeouts\": " + std::to_string(cell.timeouts);
       const util::Samples& deg = cell.degraded_plt_ms;
       out += ", \"degraded_plt_median_ms\": " +
-             fmt(deg.empty() ? 0 : deg.median());
+             util::format_fixed(deg.empty() ? 0 : deg.median(), 6);
       out += ", \"degraded_plt_ms\": [";
       const auto& degraded = deg.values();
       for (std::size_t j = 0; j < degraded.size(); ++j) {
         out += j == 0 ? "" : ", ";
-        out += fmt(degraded[j]);
+        out += util::format_fixed(degraded[j], 6);
       }
       out += "]";
     }
@@ -103,22 +87,23 @@ std::string Report::to_json() const {
       out += ", \"load_errors\": [";
       for (std::size_t j = 0; j < cell.load_errors.size(); ++j) {
         out += j == 0 ? "" : ", ";
-        out += "\"" + json_escape(cell.load_errors[j]) + "\"";
+        out += "\"" + util::json_escape(cell.load_errors[j]) + "\"";
       }
       out += "]";
     }
     if (cell.probe_ran) {
       out += ", \"probe\": {\"queue_delay_p95_ms\": " +
-             fmt(cell.queue_delay_p95_ms, 3);
-      out += ", \"jain_index\": " + fmt(cell.jain_index);
+             util::format_fixed(cell.queue_delay_p95_ms, 3);
+      out += ", \"jain_index\": " + util::format_fixed(cell.jain_index, 6);
       out += ", \"flows\": [";
       for (std::size_t j = 0; j < cell.flows.size(); ++j) {
         const FlowResult& flow = cell.flows[j];
         out += j == 0 ? "" : ", ";
-        out += "{\"cc\": \"" + json_escape(flow.controller) + "\"";
+        out += "{\"cc\": \"" + util::json_escape(flow.controller) + "\"";
         out += ", \"bytes\": " + std::to_string(flow.bytes_delivered);
-        out += ", \"throughput_bps\": " + fmt(flow.throughput_bps, 1);
-        out += ", \"share\": " + fmt(flow.share);
+        out += ", \"throughput_bps\": " +
+               util::format_fixed(flow.throughput_bps, 1);
+        out += ", \"share\": " + util::format_fixed(flow.share, 6);
         out += ", \"retransmissions\": " +
                std::to_string(flow.retransmissions) + "}";
       }
@@ -153,18 +138,18 @@ std::string Report::to_csv() const {
     out += std::to_string(cell.plt_ms.size()) + ",";
     out += std::to_string(cell.failed_loads) + ",";
     const util::Samples& plt = cell.plt_ms;
-    out += fmt(plt.empty() ? 0 : plt.median()) + ",";
-    out += fmt(plt.empty() ? 0 : plt.mean()) + ",";
-    out += fmt(plt.empty() ? 0 : plt.percentile(95)) + ",";
-    out += fmt(plt.empty() ? 0 : plt.min()) + ",";
-    out += fmt(plt.empty() ? 0 : plt.max()) + ",";
+    out += util::format_fixed(plt.empty() ? 0 : plt.median(), 6) + ",";
+    out += util::format_fixed(plt.empty() ? 0 : plt.mean(), 6) + ",";
+    out += util::format_fixed(plt.empty() ? 0 : plt.percentile(95), 6) + ",";
+    out += util::format_fixed(plt.empty() ? 0 : plt.min(), 6) + ",";
+    out += util::format_fixed(plt.empty() ? 0 : plt.max(), 6) + ",";
     if (cell.probe_ran) {
-      out += fmt(cell.queue_delay_p95_ms, 3) + ",";
-      out += fmt(cell.jain_index) + ",";
+      out += util::format_fixed(cell.queue_delay_p95_ms, 3) + ",";
+      out += util::format_fixed(cell.jain_index, 6) + ",";
       std::string shares;
       for (const FlowResult& flow : cell.flows) {
         shares += shares.empty() ? "" : "|";
-        shares += flow.controller + ":" + fmt(flow.share, 4);
+        shares += flow.controller + ":" + util::format_fixed(flow.share, 4);
       }
       out += shares;
     } else {
@@ -176,7 +161,7 @@ std::string Report::to_csv() const {
       out += "," + std::to_string(cell.objects_failed);
       out += "," + std::to_string(cell.retries);
       out += "," + std::to_string(cell.timeouts);
-      out += "," + fmt(deg.empty() ? 0 : deg.median());
+      out += "," + util::format_fixed(deg.empty() ? 0 : deg.median(), 6);
     }
     out += "\n";
   }
@@ -190,8 +175,8 @@ std::string Report::to_bench_json() const {
   const auto add = [&](const std::string& row_name, double ns_per_op) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    {\"name\": \"" + json_escape(row_name) +
-           "\", \"ns_per_op\": " + fmt(ns_per_op, 1) +
+    out += "    {\"name\": \"" + util::json_escape(row_name) +
+           "\", \"ns_per_op\": " + util::format_fixed(ns_per_op, 1) +
            ", \"items_per_second\": 0, \"bytes_per_second\": 0}";
   };
   for (const CellResult& cell : cells) {

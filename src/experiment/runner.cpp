@@ -341,12 +341,8 @@ Report run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
               // told apart by their fleet index (shared infra = -1).
               mux_config.session.tracer = task_tracer;
               mux_config.origin = cell_origin_options(cell);
-              mux_config.shared_world = true;
               fleet::SessionMux mux{entry.store, entry.site.primary_url(),
-                                    mux_config};
-              for (int s = 0; s < cell.fleet.sessions; ++s) {
-                mux.add_session(s);
-              }
+                                    mux_config, cell.fleet.sessions};
               for (const fleet::SessionOutcome& session : mux.run()) {
                 outcome.plts.push_back(session.plt_ms);
                 outcome.oks.push_back(session.success);

@@ -1,7 +1,5 @@
 #include "fleet/session_mux.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 #include "net/dns.hpp"
@@ -14,26 +12,11 @@ namespace mahimahi::fleet {
 
 namespace {
 
-/// Fixed-precision formatting, same discipline as experiment::Report: a
-/// finite double printf'd at fixed precision is a pure function of the
-/// value, so byte-identical outcomes serialize to byte-identical text.
-void append_outcome_line(std::string& out, const SessionOutcome& o) {
-  char buffer[320];
-  std::snprintf(buffer, sizeof buffer,
-                "session %6d ok=%d plt_ms=%.6f start_ms=%.3f finish_ms=%.3f "
-                "objects=%u failed=%u connections=%u bytes=%llu "
-                "retries=%u timeouts=%u degraded_plt_ms=%.6f\n",
-                o.session_index, o.success ? 1 : 0, o.plt_ms, o.start_ms,
-                o.finish_ms, o.objects_loaded, o.objects_failed,
-                o.connections_opened,
-                static_cast<unsigned long long>(o.bytes_downloaded),
-                o.retries, o.timeouts, o.degraded_plt_ms);
-  out += buffer;
-}
+/// Safety valve forwarded to the loop (see EventLoop::set_event_limit).
+constexpr std::size_t kEventLimit = 2'000'000'000;
 
-/// Session i's seed: forked from the fleet seed by global index alone —
-/// the (fleet_seed, session_index) contract. Removing or re-sharding any
-/// other session cannot disturb this value.
+/// Session i's seed: forked from the fleet seed by index alone — the
+/// (fleet_seed, session_index) contract.
 std::uint64_t derive_session_seed(std::uint64_t fleet_seed, int index) {
   util::Rng root{fleet_seed};
   return root.fork("session-" + std::to_string(index)).next();
@@ -41,23 +24,13 @@ std::uint64_t derive_session_seed(std::uint64_t fleet_seed, int index) {
 
 }  // namespace
 
-std::string serialize_outcomes(const std::vector<SessionOutcome>& outcomes) {
-  std::string out;
-  out.reserve(outcomes.size() * 96);
-  for (const SessionOutcome& outcome : outcomes) {
-    append_outcome_line(out, outcome);
-  }
-  return out;
-}
-
-/// The one namespace every session of a shared-world mux lives in: one
-/// fabric, one shell stack, one origin-server farm, one DNS. Browsers are
-/// per-session; everything they contend for is here.
+/// The one namespace every session of a mux lives in: one fabric, one
+/// shell stack, one origin-server farm, one DNS. Browsers are per-session;
+/// everything they contend for is here.
 struct SessionMux::SharedWorld {
   /// The shared world's fault plan forks from the fleet seed, like its
   /// shells: faults belong to the world, not to any one user, so every
-  /// session observes the same flap/crash/DNS schedule regardless of
-  /// sharding (a shared world never splits across muxes).
+  /// session observes the same flap/crash/DNS schedule.
   static std::uint64_t fault_plan_seed(const MuxConfig& config) {
     util::Rng rng{config.fleet_seed ^ config.session.host.seed_salt};
     return rng.fork("fault-plan").next();
@@ -92,7 +65,8 @@ struct SessionMux::SharedWorld {
       });
     }
     // Fault elements sit innermost, before any shell — same layering as
-    // ReplayWorld, so a fault spec means the same thing in both modes.
+    // ReplayWorld, so a fault spec means the same thing for a fleet cell
+    // as for a single-user cell.
     if (plan.spec().flap.has_value()) {
       const auto& flap = *plan.spec().flap;
       auto box = std::make_unique<net::FlapBox>(loop, flap.period, flap.down,
@@ -121,76 +95,53 @@ struct SessionMux::SharedWorld {
 };
 
 SessionMux::SessionMux(const record::RecordStore& store, std::string url,
-                       MuxConfig config)
-    : store_{store}, url_{std::move(url)}, config_{std::move(config)} {
+                       MuxConfig config, int sessions)
+    : url_{std::move(url)}, config_{std::move(config)} {
   MAHI_ASSERT_MSG(config_.stagger >= 0, "fleet stagger must be >= 0");
-  loop_.set_event_limit(config_.event_limit);
-  if (config_.shared_world) {
-    shared_ = std::make_unique<SharedWorld>(loop_, store_, config_);
+  MAHI_ASSERT_MSG(sessions > 0, "a fleet needs at least one session");
+  loop_.set_event_limit(kEventLimit);
+  shared_ = std::make_unique<SharedWorld>(loop_, store, config_);
+  slots_.resize(static_cast<std::size_t>(sessions));
+  for (int i = 0; i < sessions; ++i) {
+    slots_[static_cast<std::size_t>(i)].index = i;
   }
 }
 
 SessionMux::~SessionMux() = default;
 
-void SessionMux::add_session(int global_index) {
-  MAHI_ASSERT_MSG(!ran_, "add_session after run()");
-  MAHI_ASSERT_MSG(global_index >= 0, "session index must be >= 0");
-  for (const Slot& slot : slots_) {
-    MAHI_ASSERT_MSG(slot.global_index != global_index,
-                    "session " << global_index << " enrolled twice");
-  }
-  slots_.emplace_back();
-  Slot& slot = slots_.back();
-  slot.global_index = global_index;
-  slot.start_at = config_.stagger * global_index;
-  slot.session_seed = derive_session_seed(config_.fleet_seed, global_index);
-}
-
 void SessionMux::admit(Slot& slot) {
-  ++live_;
-  peak_live_ = std::max(peak_live_, live_);
   slot.clock = net::SessionClock{loop_, loop_.now()};
-  slot.outcome.session_index = slot.global_index;
+  slot.outcome.session_index = slot.index;
   slot.outcome.start_ms = to_ms(loop_.now());
 
   core::SessionConfig session = config_.session;
-  session.seed = slot.session_seed;
-  // Trace attribution: this session's events carry its global fleet index
+  session.seed = derive_session_seed(config_.fleet_seed, slot.index);
+  // Trace attribution: this session's events carry its fleet index
   // (shared infrastructure logs as -1; see SharedWorld).
-  session.trace_session = slot.global_index;
+  session.trace_session = slot.index;
 
-  auto on_done = [this, &slot](web::PageLoadResult result) {
+  // This session is one more user of the common namespace. Its randomness
+  // still forks from its own seed, so the user population is reproducible
+  // independent of arrival interleaving.
+  util::Rng rng = core::session_load_rng(session, 0);
+  slot.browser = std::make_unique<web::Browser>(
+      shared_->fabric, shared_->dns_server.address(),
+      core::session_browser_config(session), rng.fork("browser"));
+  slot.browser->load(url_, [this, &slot](web::PageLoadResult result) {
     complete(slot, std::move(result));
-  };
-  if (config_.shared_world) {
-    // Shared world: this session is one more user of the common
-    // namespace. Its randomness still forks from its own seed, so the
-    // user population is reproducible independent of arrival interleaving.
-    util::Rng rng = core::session_load_rng(session, 0);
-    slot.browser = std::make_unique<web::Browser>(
-        shared_->fabric, shared_->dns_server.address(),
-        core::session_browser_config(session), rng.fork("browser"));
-    slot.browser->load(url_, std::move(on_done));
-  } else {
-    slot.world = std::make_unique<core::ReplayWorld>(loop_, store_, session,
-                                                     config_.origin, 0);
-    slot.world->browser().load(url_, std::move(on_done));
-  }
+  });
 }
 
 void SessionMux::complete(Slot& slot, web::PageLoadResult result) {
   MAHI_ASSERT_MSG(!slot.done, "session completed twice");
-  MAHI_ASSERT(live_ > 0);
-  --live_;
   slot.done = true;
   // Timer-isolation audit: the load must have finished on its own session
   // clock — exactly page_load_time after this session's admission, no
   // matter how many sibling sessions shared the loop.
   MAHI_ASSERT_MSG(slot.clock.now() == result.page_load_time,
-                  "session " << slot.global_index
-                             << " finished off its own clock");
+                  "session " << slot.index << " finished off its own clock");
   MAHI_ASSERT_MSG(result.started_at == slot.clock.origin(),
-                  "session " << slot.global_index
+                  "session " << slot.index
                              << " load started off its admission time");
   SessionOutcome& o = slot.outcome;
   o.success = result.success ? 1 : 0;
@@ -204,25 +155,21 @@ void SessionMux::complete(Slot& slot, web::PageLoadResult result) {
   o.retries = static_cast<std::uint32_t>(result.retries);
   o.timeouts = static_cast<std::uint32_t>(result.timeouts);
   o.degraded_plt_ms = to_ms(result.degraded_page_load_time);
-  if (config_.shared_world) {
-    // Retire the browser once the loop is past its frames: destroying it
-    // inside its own completion callback would unwind into freed state.
-    // Its world (the shared one) stays; in isolated mode the whole world
-    // is kept until the loop drains — packets still in flight hold events
-    // that reference its elements.
-    web::Browser* browser = slot.browser.get();
-    loop_.schedule_in(0, [&slot, browser] {
-      MAHI_ASSERT(slot.browser.get() == browser);
-      slot.browser.reset();
-    });
-  }
+  // Retire the browser once the loop is past its frames: destroying it
+  // inside its own completion callback would unwind into freed state.
+  web::Browser* browser = slot.browser.get();
+  loop_.schedule_in(0, [&slot, browser] {
+    MAHI_ASSERT(slot.browser.get() == browser);
+    slot.browser.reset();
+  });
 }
 
 std::vector<SessionOutcome> SessionMux::run() {
   MAHI_ASSERT_MSG(!ran_, "SessionMux::run is one-shot");
   ran_ = true;
   for (Slot& slot : slots_) {
-    loop_.schedule_at(slot.start_at, [this, &slot] { admit(slot); });
+    loop_.schedule_at(config_.stagger * slot.index,
+                      [this, &slot] { admit(slot); });
   }
   if (config_.session.deadline > 0) {
     // Watchdog over the whole mux: a shared-world fleet is one
@@ -254,19 +201,11 @@ std::vector<SessionOutcome> SessionMux::run() {
   outcomes.reserve(slots_.size());
   for (const Slot& slot : slots_) {
     if (!slot.done) {
-      throw std::runtime_error{
-          "fleet session " + std::to_string(slot.global_index) +
-          " never completed (event loop drained)"};
+      throw std::runtime_error{"fleet session " + std::to_string(slot.index) +
+                               " never completed (event loop drained)"};
     }
     outcomes.push_back(slot.outcome);
   }
-  std::sort(outcomes.begin(), outcomes.end(),
-            [](const SessionOutcome& a, const SessionOutcome& b) {
-              return a.session_index < b.session_index;
-            });
-  // Worlds are torn down here, in enrollment order, with the loop idle —
-  // deterministic and safe (no event can reference them anymore).
-  slots_.clear();
   return outcomes;
 }
 

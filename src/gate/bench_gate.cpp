@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "util/strings.hpp"
 
 namespace mahimahi::gate {
 namespace {
@@ -294,12 +295,6 @@ std::string read_file_or_throw(const std::string& path) {
   return contents.str();
 }
 
-std::string fmt(double value, int precision = 3) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*f", precision, value);
-  return buffer;
-}
-
 /// One metric comparison; `lower_is_better` encodes the direction.
 void compare_metric(GateResult& result, const std::string& row_name,
                     const char* metric, double base, double current,
@@ -395,13 +390,14 @@ Baseline load_baseline_file(const std::string& path) {
 std::string make_baseline_json(const Baseline& baseline) {
   std::string out;
   out += "{\n  \"schema\": \"mahimahi-bench-baseline-v1\",\n";
-  out += "  \"default_tolerance\": " + fmt(baseline.default_tolerance) + ",\n";
+  out += "  \"default_tolerance\": " +
+         util::format_fixed(baseline.default_tolerance, 3) + ",\n";
   out += "  \"tolerances\": {";
   bool first = true;
   for (const auto& [name, tolerance] : baseline.tolerances) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + name + "\": " + fmt(tolerance);
+    out += "    \"" + name + "\": " + util::format_fixed(tolerance, 3);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"benchmarks\": [";
@@ -409,9 +405,11 @@ std::string make_baseline_json(const Baseline& baseline) {
     const BenchRow& row = baseline.rows[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"name\": \"" + row.name +
-           "\", \"ns_per_op\": " + fmt(row.ns_per_op, 1) +
-           ", \"items_per_second\": " + fmt(row.items_per_second, 1) +
-           ", \"bytes_per_second\": " + fmt(row.bytes_per_second, 1) + "}";
+           "\", \"ns_per_op\": " + util::format_fixed(row.ns_per_op, 1) +
+           ", \"items_per_second\": " +
+           util::format_fixed(row.items_per_second, 1) +
+           ", \"bytes_per_second\": " +
+           util::format_fixed(row.bytes_per_second, 1) + "}";
   }
   out += "\n  ]\n}\n";
   return out;
@@ -475,11 +473,12 @@ std::string format_delta_table(const GateResult& result) {
     } else if (delta.status == MetricStatus::kNew) {
       row.insert(row.end(), {"(not pinned)", "-", "-", "-"});
     } else {
-      row.push_back(fmt(delta.baseline, 1));
-      row.push_back(fmt(delta.current, 1));
+      row.push_back(util::format_fixed(delta.baseline, 1));
+      row.push_back(util::format_fixed(delta.current, 1));
       row.push_back((delta.change_pct >= 0 ? "+" : "") +
-                    fmt(delta.change_pct, 2) + "%");
-      row.push_back("+-" + fmt(delta.tolerance * 100.0, 0) + "%");
+                    util::format_fixed(delta.change_pct, 2) + "%");
+      row.push_back("+-" + util::format_fixed(delta.tolerance * 100.0, 0) +
+                    "%");
     }
     row.push_back(status_name(delta.status));
     cells.push_back(std::move(row));

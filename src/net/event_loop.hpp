@@ -175,10 +175,9 @@ class EventLoop {
 };
 
 /// A session-scoped view of a shared loop's clock: time zero is the
-/// moment the session was admitted, so code multiplexing many sessions
-/// onto one EventLoop (fleet::SessionMux) can report per-session
-/// timestamps that are independent of where the session sits in the
-/// fleet's arrival schedule. Durations measured on a SessionClock equal
+/// moment the session was admitted, so code running many sessions on one
+/// EventLoop (fleet::SessionMux) can audit that each load's duration was
+/// measured from its own arrival, not from the fleet's epoch. Durations measured on a SessionClock equal
 /// durations measured on the underlying loop — the view only shifts the
 /// epoch, never the rate.
 class SessionClock {

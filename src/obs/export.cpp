@@ -3,17 +3,10 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "util/strings.hpp"
+
 namespace mahimahi::obs {
 namespace {
-
-// All doubles serialize through fixed-precision snprintf — the same
-// discipline as experiment/report.cpp — so exported bytes are a pure
-// function of the values, not of locale or shortest-round-trip quirks.
-std::string fmt(double value, int precision = 6) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
-  return buffer;
-}
 
 std::string fmt_i64(std::int64_t value) {
   char buffer[32];
@@ -25,40 +18,6 @@ std::string fmt_u64(std::uint64_t value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%" PRIu64, value);
   return buffer;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 // ---- Chrome trace ---------------------------------------------------------
@@ -90,24 +49,24 @@ void append_event_json(std::string& out, int pid, const TraceEvent& event) {
     case EventKind::kEnqueue:
     case EventKind::kDequeue:
       // Queue depth as a counter track named after the queue.
-      out += R"({"name":"queue )" + json_escape(event.label) +
+      out += R"({"name":"queue )" + util::json_escape(event.label) +
              R"(","ph":"C","pid":)" + std::to_string(pid) + R"(,"tid":)" +
              tid + R"(,"ts":)" + ts + R"(,"args":{"packets":)" +
-             fmt_u64(event.value) + R"(,"bytes":)" + fmt(event.metric, 0) +
-             "}}";
+             fmt_u64(event.value) + R"(,"bytes":)" +
+             util::format_fixed(event.metric, 0) + "}}";
       return;
     case EventKind::kTcpCwndSample:
       out += R"({"name":"cwnd flow )" + fmt_u64(event.flow) +
              R"(","ph":"C","pid":)" + std::to_string(pid) + R"(,"tid":)" +
              tid + R"(,"ts":)" + ts + R"(,"args":{"cwnd":)" +
-             fmt(event.metric, 0) + R"(,"ssthresh":)" + fmt_u64(event.value) +
-             "}}";
+             util::format_fixed(event.metric, 0) + R"(,"ssthresh":)" +
+             fmt_u64(event.value) + "}}";
       return;
     case EventKind::kTcpRttSample:
       out += R"({"name":"srtt flow )" + fmt_u64(event.flow) +
              R"(","ph":"C","pid":)" + std::to_string(pid) + R"(,"tid":)" +
              tid + R"(,"ts":)" + ts + R"(,"args":{"srtt_ms":)" +
-             fmt(event.metric, 3) + "}}";
+             util::format_fixed(event.metric, 3) + "}}";
       return;
     default:
       break;
@@ -116,19 +75,19 @@ void append_event_json(std::string& out, int pid, const TraceEvent& event) {
   out += R"({"name":")" + std::string(to_string(event.kind)) +
          R"(","ph":"i","s":"t","pid":)" + std::to_string(pid) + R"(,"tid":)" +
          tid + R"(,"ts":)" + ts + R"(,"args":{"label":")" +
-         json_escape(event.label) + R"(","flow":)" + fmt_u64(event.flow) +
+         util::json_escape(event.label) + R"(","flow":)" + fmt_u64(event.flow) +
          R"(,"value":)" + fmt_u64(event.value) + R"(,"metric":)" +
-         fmt(event.metric, 3) + "}}";
+         util::format_fixed(event.metric, 3) + "}}";
 }
 
 void append_object_span(std::string& out, int pid, const ObjectRecord& o) {
   const Microseconds start = o.fetch_start >= 0 ? o.fetch_start : 0;
   const Microseconds end = o.complete >= 0 ? o.complete : start;
-  out += R"({"name":")" + json_escape(o.url) + R"(","cat":"object","ph":"X")" +
-         R"(,"pid":)" + std::to_string(pid) + R"(,"tid":)" +
-         fmt_i64(lane(o.session, Layer::kBrowser)) + R"(,"ts":)" +
-         fmt_i64(start) + R"(,"dur":)" + fmt_i64(end - start) +
-         R"(,"args":{"kind":")" + json_escape(o.kind) + R"(","status":)" +
+  out += R"({"name":")" + util::json_escape(o.url) +
+         R"(","cat":"object","ph":"X")" + R"(,"pid":)" + std::to_string(pid) +
+         R"(,"tid":)" + fmt_i64(lane(o.session, Layer::kBrowser)) +
+         R"(,"ts":)" + fmt_i64(start) + R"(,"dur":)" + fmt_i64(end - start) +
+         R"(,"args":{"kind":")" + util::json_escape(o.kind) + R"(","status":)" +
          std::to_string(o.status) + R"(,"bytes":)" + fmt_u64(o.bytes) +
          R"(,"attempts":)" + std::to_string(o.attempts) + R"(,"failed":)" +
          (o.failed ? "true" : "false") + R"(,"dns_start":)" +
@@ -136,16 +95,17 @@ void append_object_span(std::string& out, int pid, const ObjectRecord& o) {
          R"(,"connect_done":)" + fmt_i64(o.connect_done) +
          R"(,"request_sent":)" + fmt_i64(o.request_sent) +
          R"(,"first_byte":)" + fmt_i64(o.first_byte) + R"(,"error":")" +
-         json_escape(o.error) + R"("}})";
+         util::json_escape(o.error) + R"("}})";
 }
 
 void append_page_span(std::string& out, int pid, const PageRecord& p) {
-  out += R"({"name":"page )" + json_escape(p.url) +
+  out += R"({"name":"page )" + util::json_escape(p.url) +
          R"(","cat":"page","ph":"X","pid":)" + std::to_string(pid) +
          R"(,"tid":)" + fmt_i64(lane(p.session, Layer::kBrowser)) +
          R"(,"ts":)" + fmt_i64(p.started_at) + R"(,"dur":)" + fmt_i64(p.plt) +
          R"(,"args":{"success":)" + (p.success ? "true" : "false") +
-         R"(,"degraded_plt_ms":)" + fmt(to_ms(p.degraded_plt), 3) + "}}";
+         R"(,"degraded_plt_ms":)" +
+         util::format_fixed(to_ms(p.degraded_plt), 3) + "}}";
 }
 
 // ---- HAR ------------------------------------------------------------------
@@ -196,8 +156,8 @@ std::string to_chrome_trace(const TraceMeta& meta,
   std::string out;
   out.reserve(1 << 16);
   out += R"({"displayTimeUnit":"ms","otherData":{"experiment":")" +
-         json_escape(meta.experiment) + R"(","cell":")" +
-         json_escape(meta.cell_label) + R"(","cell_index":)" +
+         util::json_escape(meta.experiment) + R"(","cell":")" +
+         util::json_escape(meta.cell_label) + R"(","cell_index":)" +
          std::to_string(meta.cell_index) + R"(,"cell_seed":)" +
          fmt_u64(meta.cell_seed) + R"(},"traceEvents":[)";
   bool first = true;
@@ -230,7 +190,7 @@ std::string to_chrome_trace(const TraceMeta& meta,
     for (const auto& [tid, name] : lanes) {
       emit(R"({"name":"thread_name","ph":"M","pid":)" + std::to_string(pid) +
            R"(,"tid":)" + fmt_i64(tid) + R"(,"args":{"name":")" +
-           json_escape(name) + R"("}})");
+           util::json_escape(name) + R"("}})");
     }
     for (const TraceEvent& event : load.buffer.events) {
       std::string line;
@@ -257,10 +217,10 @@ std::string to_har(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
   out.reserve(1 << 16);
   out += R"({"log":{"version":"1.2","creator":{"name":"mahimahi-obs",)" +
          std::string(R"("version":"1"},"comment":"experiment=)") +
-         json_escape(meta.experiment) + " cell=" +
+         util::json_escape(meta.experiment) + " cell=" +
          std::to_string(meta.cell_index) + " label=" +
-         json_escape(meta.cell_label) + " seed=" + fmt_u64(meta.cell_seed) +
-         R"(","pages":[)";
+         util::json_escape(meta.cell_label) +
+         " seed=" + fmt_u64(meta.cell_seed) + R"(","pages":[)";
   bool first = true;
   for (const LoadTrace& load : loads) {
     for (const PageRecord& page : load.buffer.pages) {
@@ -270,11 +230,11 @@ std::string to_har(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
       first = false;
       out += R"({"startedDateTime":")" + iso_date(page.started_at) +
              R"(","id":")" + har_page_id(load.load_index, page.session) +
-             R"(","title":")" + json_escape(page.url) +
+             R"(","title":")" + util::json_escape(page.url) +
              R"(","pageTimings":{"onContentLoad":-1,"onLoad":)" +
-             fmt(to_ms(page.plt), 3) + R"(},"_success":)" +
+             util::format_fixed(to_ms(page.plt), 3) + R"(},"_success":)" +
              (page.success ? "true" : "false") + R"(,"_degraded_plt_ms":)" +
-             fmt(to_ms(page.degraded_plt), 3) + "}";
+             util::format_fixed(to_ms(page.degraded_plt), 3) + "}";
     }
   }
   out += R"(],"entries":[)";
@@ -317,23 +277,26 @@ std::string to_har(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
       }
       out += R"({"pageref":")" + har_page_id(load.load_index, o.session) +
              R"(","startedDateTime":")" + iso_date(o.fetch_start) +
-             R"(","time":)" + fmt(total_ms, 3) +
-             R"(,"request":{"method":"GET","url":")" + json_escape(o.url) +
+             R"(","time":)" + util::format_fixed(total_ms, 3) +
+             R"(,"request":{"method":"GET","url":")" +
+             util::json_escape(o.url) +
              R"(","httpVersion":"HTTP/1.1","cookies":[],"headers":[],)" +
              R"("queryString":[],"headersSize":-1,"bodySize":0},)" +
              R"("response":{"status":)" + std::to_string(o.status) +
              R"(,"statusText":"","httpVersion":"HTTP/1.1","cookies":[],)" +
              R"("headers":[],"content":{"size":)" + fmt_u64(o.bytes) +
-             R"(,"mimeType":")" + json_escape(o.kind) +
+             R"(,"mimeType":")" + util::json_escape(o.kind) +
              R"("},"redirectURL":"","headersSize":-1,"bodySize":)" +
              fmt_u64(o.bytes) + R"(},"cache":{},"timings":{"blocked":)" +
-             fmt(blocked_ms, 3) + R"(,"dns":)" + fmt(dns_ms, 3) +
-             R"(,"connect":)" + fmt(connect_ms, 3) +
-             R"(,"ssl":-1,"send":0,"wait":)" + fmt(wait_ms, 3) +
-             R"(,"receive":)" + fmt(receive_ms, 3) + R"(},"_attempts":)" +
+             util::format_fixed(blocked_ms, 3) + R"(,"dns":)" +
+             util::format_fixed(dns_ms, 3) +
+             R"(,"connect":)" + util::format_fixed(connect_ms, 3) +
+             R"(,"ssl":-1,"send":0,"wait":)" + util::format_fixed(wait_ms, 3) +
+             R"(,"receive":)" + util::format_fixed(receive_ms, 3) +
+             R"(},"_attempts":)" +
              std::to_string(o.attempts) + R"(,"_failed":)" +
              (o.failed ? "true" : "false") + R"(,"_error":")" +
-             json_escape(o.error) + R"("})";
+             util::json_escape(o.error) + R"("})";
     }
   }
   out += "]}}\n";
@@ -361,7 +324,7 @@ std::string to_csv(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
       out += prefix + std::to_string(e.session) + "," + fmt_i64(e.at) + "," +
              std::string(to_string(e.layer)) + "," +
              std::string(to_string(e.kind)) + "," + fmt_u64(e.flow) + "," +
-             fmt_u64(e.value) + "," + fmt(e.metric, 6) + "," +
+             fmt_u64(e.value) + "," + util::format_fixed(e.metric, 6) + "," +
              sanitize(e.label) + ",\n";
     }
     for (const ObjectRecord& o : load.buffer.objects) {
@@ -369,7 +332,8 @@ std::string to_csv(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
       const Microseconds end = o.complete >= 0 ? o.complete : start;
       out += prefix + std::to_string(o.session) + "," + fmt_i64(start) +
              ",browser,object,0," + fmt_u64(o.bytes) + "," +
-             fmt(to_ms(end - start), 6) + "," + sanitize(o.url) + "," +
+             util::format_fixed(to_ms(end - start), 6) + "," +
+             sanitize(o.url) + "," +
              "kind=" + sanitize(o.kind) + ";status=" +
              std::to_string(o.status) + ";attempts=" +
              std::to_string(o.attempts) + ";failed=" + (o.failed ? "1" : "0") +
@@ -382,9 +346,10 @@ std::string to_csv(const TraceMeta& meta, const std::vector<LoadTrace>& loads) {
     for (const PageRecord& p : load.buffer.pages) {
       out += prefix + std::to_string(p.session) + "," +
              fmt_i64(p.started_at) + ",browser,page,0," +
-             (p.success ? "1" : "0") + "," + fmt(to_ms(p.plt), 6) + "," +
+             (p.success ? "1" : "0") + "," +
+             util::format_fixed(to_ms(p.plt), 6) + "," +
              sanitize(p.url) + ",degraded_ms=" +
-             fmt(to_ms(p.degraded_plt), 3) + "\n";
+             util::format_fixed(to_ms(p.degraded_plt), 3) + "\n";
     }
   }
   return out;

@@ -1,8 +1,9 @@
 #include "obs/metrics.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <utility>
+
+#include "util/strings.hpp"
 
 namespace mahimahi::obs {
 namespace {
@@ -17,33 +18,15 @@ constexpr double kQuarter[4] = {0.5, 0.59460355750136051, 0.70710678118654757,
 // an exact zero is common — e.g. a warm-connection connect phase).
 constexpr std::int32_t kZeroBucket = INT32_MIN;
 
-std::string fmt(double value, int precision = 6) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*f", precision, value);
-  return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
-  }
-  return escaped;
-}
-
 void append_histogram_json(std::string& out,
                            const MetricsSnapshot::HistogramStats& h) {
   out += "{\"count\": " + std::to_string(h.count);
-  out += ", \"sum\": " + fmt(h.sum);
-  out += ", \"min\": " + fmt(h.min);
-  out += ", \"max\": " + fmt(h.max);
-  out += ", \"p50\": " + fmt(h.p50);
-  out += ", \"p90\": " + fmt(h.p90);
-  out += ", \"p99\": " + fmt(h.p99) + "}";
+  out += ", \"sum\": " + util::format_fixed(h.sum, 6);
+  out += ", \"min\": " + util::format_fixed(h.min, 6);
+  out += ", \"max\": " + util::format_fixed(h.max, 6);
+  out += ", \"p50\": " + util::format_fixed(h.p50, 6);
+  out += ", \"p90\": " + util::format_fixed(h.p90, 6);
+  out += ", \"p99\": " + util::format_fixed(h.p99, 6) + "}";
 }
 
 }  // namespace
@@ -145,21 +128,22 @@ std::string MetricsSnapshot::to_json_inline() const {
   for (const auto& [name, value] : counters) {
     out += first ? "" : ", ";
     first = false;
-    out += "\"" + json_escape(name) + "\": " + std::to_string(value);
+    out += "\"" + util::json_escape(name) + "\": " + std::to_string(value);
   }
   out += "}, \"gauges\": {";
   first = true;
   for (const auto& [name, value] : gauges) {
     out += first ? "" : ", ";
     first = false;
-    out += "\"" + json_escape(name) + "\": " + fmt(value);
+    out += "\"" + util::json_escape(name) +
+           "\": " + util::format_fixed(value, 6);
   }
   out += "}, \"histograms\": {";
   first = true;
   for (const auto& [name, stats] : histograms) {
     out += first ? "" : ", ";
     first = false;
-    out += "\"" + json_escape(name) + "\": ";
+    out += "\"" + util::json_escape(name) + "\": ";
     append_histogram_json(out, stats);
   }
   out += "}}";
@@ -173,7 +157,8 @@ std::string MetricsSnapshot::to_json() const {
   for (const auto& [name, value] : counters) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(name) + "\": " + std::to_string(value);
+    out += "    \"" + util::json_escape(name) +
+           "\": " + std::to_string(value);
   }
   out += counters.empty() ? "},\n" : "\n  },\n";
   out += "  \"gauges\": {";
@@ -181,7 +166,8 @@ std::string MetricsSnapshot::to_json() const {
   for (const auto& [name, value] : gauges) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(name) + "\": " + fmt(value);
+    out += "    \"" + util::json_escape(name) +
+           "\": " + util::format_fixed(value, 6);
   }
   out += gauges.empty() ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
@@ -189,7 +175,7 @@ std::string MetricsSnapshot::to_json() const {
   for (const auto& [name, stats] : histograms) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(name) + "\": ";
+    out += "    \"" + util::json_escape(name) + "\": ";
     append_histogram_json(out, stats);
   }
   out += histograms.empty() ? "}\n" : "\n  }\n";
@@ -211,12 +197,17 @@ std::string MetricsSnapshot::to_csv() const {
     out += sanitize(name) + ",counter,,,,,,,," + std::to_string(value) + "\n";
   }
   for (const auto& [name, value] : gauges) {
-    out += sanitize(name) + ",gauge,,,,,,,," + fmt(value) + "\n";
+    out += sanitize(name) + ",gauge,,,,,,,," + util::format_fixed(value, 6) +
+           "\n";
   }
   for (const auto& [name, h] : histograms) {
     out += sanitize(name) + ",histogram," + std::to_string(h.count) + "," +
-           fmt(h.sum) + "," + fmt(h.min) + "," + fmt(h.max) + "," +
-           fmt(h.p50) + "," + fmt(h.p90) + "," + fmt(h.p99) + ",\n";
+           util::format_fixed(h.sum, 6) + "," +
+           util::format_fixed(h.min, 6) + "," +
+           util::format_fixed(h.max, 6) + "," +
+           util::format_fixed(h.p50, 6) + "," +
+           util::format_fixed(h.p90, 6) + "," +
+           util::format_fixed(h.p99, 6) + ",\n";
   }
   return out;
 }

@@ -79,20 +79,17 @@ struct MetricsSnapshot {
 };
 
 /// Deterministic named counters/gauges/histograms. Not thread-safe on
-/// purpose: one registry belongs to one deterministic derivation (one cell
-/// merge, or one simulation via Tracer::set_metrics), matching the repo's
-/// one-Rng-per-task convention.
+/// purpose: one registry belongs to one deterministic derivation (one load,
+/// or one cell merge), matching the repo's one-Rng-per-task convention.
 class MetricsRegistry {
  public:
   void add_counter(const std::string& name, std::int64_t delta = 1);
   void set_gauge(const std::string& name, double value);
   void observe(const std::string& name, double value);
 
-  /// Direct-population hook (Tracer::set_metrics): counts the event under
-  /// "events.<layer>.<kind>". Replaying a TraceBuffer's events through
-  /// this function reproduces the live-instrumentation counters exactly —
-  /// the property that lets the experiment runner derive every cell's
-  /// metrics post-hoc from journaled traces.
+  /// Counts the event under "events.<layer>.<kind>". derive_metrics calls
+  /// it once per buffered event, so every cell's metrics derive post-hoc
+  /// from its (possibly journaled) traces.
   void observe_trace_event(const TraceEvent& event);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;

@@ -11,8 +11,6 @@
 
 namespace mahimahi::obs {
 
-class MetricsRegistry;
-
 /// Which layer of the stack emitted an event. Layers double as filter keys
 /// in mm_trace_dump and as thread lanes in the Chrome-trace export.
 enum class Layer : std::uint8_t {
@@ -151,12 +149,7 @@ struct TraceBuffer {
 /// by bench_trace_overhead.
 class Tracer {
  public:
-  void record(TraceEvent event) {
-    if (metrics_ != nullptr) {
-      notify_metrics(event);
-    }
-    buffer_.events.push_back(std::move(event));
-  }
+  void record(TraceEvent event) { buffer_.events.push_back(std::move(event)); }
 
   void event(Microseconds at, Layer layer, EventKind kind,
              std::int32_t session, std::uint64_t flow, std::uint64_t value,
@@ -164,13 +157,6 @@ class Tracer {
     record(TraceEvent{at, layer, kind, session, flow, value, metric,
                       std::move(label)});
   }
-
-  /// Live-population hook: every recorded event is also counted into
-  /// `registry` (MetricsRegistry::observe_trace_event). Optional — the
-  /// experiment runner instead derives metrics post-hoc from the buffer,
-  /// which reproduces these counters exactly (tested), so journaled
-  /// resumes need no registry state. nullptr detaches.
-  void set_metrics(MetricsRegistry* registry) { metrics_ = registry; }
 
   /// Connection ids, handed out in construction order — deterministic
   /// because construction order is simulation order.
@@ -194,12 +180,9 @@ class Tracer {
   [[nodiscard]] TraceBuffer take() { return std::move(buffer_); }
 
  private:
-  void notify_metrics(const TraceEvent& event);
-
   TraceBuffer buffer_;
   std::map<std::pair<std::int32_t, std::string>, std::size_t> object_index_;
   std::uint64_t last_flow_id_{0};
-  MetricsRegistry* metrics_{nullptr};
 };
 
 }  // namespace mahimahi::obs

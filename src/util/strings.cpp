@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cctype>
+#include <cstdio>
 #include <limits>
 #include <sstream>
 
@@ -139,6 +140,46 @@ std::string format_bytes(std::uint64_t bytes) {
     out << std::fixed << value << ' ' << kUnits[unit];
   }
   return out.str();
+}
+
+std::string format_fixed(double value, int precision) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof buffer, "%.*f", precision, value);
+  return buffer;
+}
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  for (const char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof buffer, "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace mahimahi::util

@@ -38,4 +38,14 @@ bool parse_hex_u64(std::string_view text, std::uint64_t& out);
 /// Human-friendly byte count, e.g. "1.4 KiB".
 std::string format_bytes(std::uint64_t bytes);
 
+/// `value` printed with exactly `precision` decimals ("%.*f"). A finite
+/// double at fixed precision is a pure function of the value, so every
+/// report, trace and baseline serializes byte-identically run to run.
+std::string format_fixed(double value, int precision);
+
+/// Escape `text` for a JSON string literal: `"` and `\` are
+/// backslash-escaped, newline, carriage return and tab become `\n`, `\r`
+/// and `\t`, and every other control byte becomes `\u00XX`.
+std::string json_escape(std::string_view text);
+
 }  // namespace mahimahi::util

@@ -1,6 +1,5 @@
 // Unit tests for the metrics layer: histogram bucket math, snapshot
-// determinism, merge independence, the direct-vs-replay equality that the
-// runner's post-hoc derivation rests on, and the derived-metric catalog.
+// determinism, merge independence, and the derived-metric catalog.
 
 #include "obs/metrics.hpp"
 
@@ -98,27 +97,6 @@ TEST(MetricsRegistry, SnapshotSerializationsAreDeterministic) {
             std::string::npos);
   // The inline form is a single line (embeddable in a report row).
   EXPECT_EQ(snap.to_json_inline().find('\n'), std::string::npos);
-}
-
-TEST(MetricsRegistry, DirectPathEqualsTraceReplay) {
-  // Live instrumentation: a Tracer wired to a registry counts events as
-  // they happen. Post-hoc: replaying the buffer's events must land on the
-  // exact same counters — the property that makes journal-resumed metric
-  // derivation byte-identical to a live run.
-  MetricsRegistry live;
-  Tracer tracer;
-  tracer.set_metrics(&live);
-  tracer.event(100, Layer::kLink, EventKind::kEnqueue, -1, 1, 3, 0.0, "up");
-  tracer.event(200, Layer::kLink, EventKind::kDequeue, -1, 1, 2, 0.0, "up");
-  tracer.event(300, Layer::kTcp, EventKind::kTcpRetransmit, 0, 1, 1, 0.0, "");
-  const TraceBuffer buffer = tracer.take();
-
-  MetricsRegistry replayed;
-  for (const TraceEvent& event : buffer.events) {
-    replayed.observe_trace_event(event);
-  }
-  EXPECT_EQ(live.snapshot().to_json(), replayed.snapshot().to_json());
-  EXPECT_EQ(live.snapshot().counters.at("events.link.enqueue"), 1);
 }
 
 std::vector<LoadTrace> waterfall_loads() {

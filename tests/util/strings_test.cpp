@@ -121,5 +121,22 @@ TEST(FormatBytes, HumanUnits) {
   EXPECT_EQ(format_bytes(1024ull * 1024), "1.0 MiB");
 }
 
+TEST(JsonEscape, EscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json_escape("plain text"), "plain text");
+  EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("line\nnext"), "line\\nnext");
+  EXPECT_EQ(json_escape("col\tcol"), "col\\tcol");
+  EXPECT_EQ(json_escape("cr\r"), "cr\\r");
+  EXPECT_EQ(json_escape(std::string_view{"x\x01y", 3}), "x\\u0001y");
+}
+
+TEST(FormatFixed, PrintsExactlyThePrecisionAsked) {
+  EXPECT_EQ(format_fixed(1.5, 3), "1.500");
+  EXPECT_EQ(format_fixed(2.0 / 3.0, 6), "0.666667");
+  EXPECT_EQ(format_fixed(1234.6, 0), "1235");
+  EXPECT_EQ(format_fixed(-0.26, 1), "-0.3");
+}
+
 }  // namespace
 }  // namespace mahimahi::util
