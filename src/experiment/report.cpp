@@ -87,7 +87,9 @@ std::string Report::to_json() const {
       out += ", \"load_errors\": [";
       for (std::size_t j = 0; j < cell.load_errors.size(); ++j) {
         out += j == 0 ? "" : ", ";
-        out += "\"" + util::json_escape(cell.load_errors[j]) + "\"";
+        out.append(1, '"')
+            .append(util::json_escape(cell.load_errors[j]))
+            .append(1, '"');
       }
       out += "]";
     }

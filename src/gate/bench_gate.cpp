@@ -431,7 +431,7 @@ GateResult check(const Baseline& baseline,
     if (it == measured.end()) {
       MetricDelta delta;
       delta.row = pinned.name;
-      delta.metric = "-";
+      delta.metric.assign(1, '-');
       delta.status = MetricStatus::kMissing;
       result.deltas.push_back(std::move(delta));
       ++result.missing;
@@ -452,7 +452,7 @@ GateResult check(const Baseline& baseline,
   for (const auto& [name, row] : measured) {
     MetricDelta delta;
     delta.row = name;
-    delta.metric = "-";
+    delta.metric.assign(1, '-');
     delta.current = row->ns_per_op;
     delta.status = MetricStatus::kNew;
     result.deltas.push_back(std::move(delta));

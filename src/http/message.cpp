@@ -1,6 +1,6 @@
 #include "http/message.hpp"
 
-#include <sstream>
+#include <string_view>
 
 #include "http/status.hpp"
 #include "util/strings.hpp"
@@ -24,11 +24,19 @@ bool is_chunked(const HeaderMap& headers) {
   return te && value_has_token(*te, "chunked");
 }
 
-void append_headers(std::ostringstream& out, const HeaderMap& headers) {
+std::size_t headers_size(const HeaderMap& headers) {
+  std::size_t size = 2;  // the blank line
   for (const auto& field : headers) {
-    out << field.name << ": " << field.value << "\r\n";
+    size += field.name.size() + 2 + field.value.size() + 2;
   }
-  out << "\r\n";
+  return size;
+}
+
+void append_headers(std::string& out, const HeaderMap& headers) {
+  for (const auto& field : headers) {
+    out.append(field.name).append(": ").append(field.value).append("\r\n");
+  }
+  out.append("\r\n");
 }
 
 }  // namespace
@@ -71,22 +79,32 @@ bool Request::keep_alive() const { return message_keep_alive(headers, version); 
 
 bool Response::keep_alive() const { return message_keep_alive(headers, version); }
 
+// Both serializers size the wire string first and append into one
+// allocation: no stream buffer growth, no copy out of it.
 std::string to_bytes(const Request& request) {
-  std::ostringstream out;
-  out << method_name(request.method) << ' ' << request.target << ' '
-      << request.version << "\r\n";
+  const std::string_view method = method_name(request.method);
+  std::string out;
+  out.reserve(method.size() + 1 + request.target.size() + 1 +
+              request.version.size() + 2 + headers_size(request.headers) +
+              request.body.size());
+  out.append(method).append(1, ' ').append(request.target).append(1, ' ');
+  out.append(request.version).append("\r\n");
   append_headers(out, request.headers);
-  out << request.body;
-  return out.str();
+  out.append(request.body);
+  return out;
 }
 
 std::string to_bytes(const Response& response) {
-  std::ostringstream out;
-  out << response.version << ' ' << response.status << ' ' << response.reason
-      << "\r\n";
+  const std::string status = std::to_string(response.status);
+  std::string out;
+  out.reserve(response.version.size() + 1 + status.size() + 1 +
+              response.reason.size() + 2 + headers_size(response.headers) +
+              response.body.size());
+  out.append(response.version).append(1, ' ').append(status).append(1, ' ');
+  out.append(response.reason).append("\r\n");
   append_headers(out, response.headers);
-  out << response.body;
-  return out.str();
+  out.append(response.body);
+  return out;
 }
 
 void finalize_content_length(Request& request) {

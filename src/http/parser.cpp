@@ -12,6 +12,19 @@ void MessageParser::push(std::string_view bytes) {
   if (failed_ || closed_) {
     return;
   }
+  if (state_ == State::kBodyIdentity && buffer_.empty()) {
+    // Mid-body with nothing buffered: hand the body bytes over straight
+    // from the caller's view instead of staging them in buffer_.
+    const std::size_t take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(remaining_, bytes.size()));
+    handle_body(bytes.substr(0, take));
+    bytes.remove_prefix(take);
+    remaining_ -= take;
+    if (remaining_ != 0) {
+      return;
+    }
+    finish_message();
+  }
   buffer_.append(bytes);
   process();
 }
@@ -384,6 +397,10 @@ MessageParser::Framing ResponseParser::decide_framing() {
     }
     framing.kind = Framing::Kind::kContentLength;
     framing.content_length = length;
+    // The peer controls the header, so the reservation is capped: a
+    // claimed length can never allocate more than kMaxBodyReserve up front.
+    current_.body.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(length, kMaxBodyReserve)));
     return framing;
   }
   framing.kind = Framing::Kind::kToClose;

@@ -124,6 +124,10 @@ class RequestParser final : public MessageParser {
 /// notify_request(); announcements are consumed FIFO, one per response.
 class ResponseParser final : public MessageParser {
  public:
+  /// Most body bytes reserved up front from a Content-Length header;
+  /// longer bodies grow as their bytes arrive.
+  static constexpr std::size_t kMaxBodyReserve = 1 << 20;
+
   void notify_request(Method method);
 
   [[nodiscard]] bool has_message() const { return !complete_.empty(); }

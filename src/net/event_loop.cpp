@@ -12,8 +12,20 @@ constexpr std::size_t kHeapArity = 4;
 }  // namespace
 
 void EventLoop::publish_event(Microseconds at, std::uint32_t slot) {
-  inbox_.push_back(HeapEntry{at, next_seq_++, slot, slot_at(slot).generation});
+  // A fresh sequence number is larger than every pending one, so an entry
+  // due now belongs at the lane's tail.
+  const HeapEntry entry{at, next_seq_++, slot, slot_at(slot).generation};
+  (at == now_ ? lane_ : inbox_).push_back(entry);
   ++live_count_;
+}
+
+EventLoop::EventId EventLoop::post_timer(Timer& timer) {
+  const std::uint32_t slot = acquire_slot();
+  Slot& s = slot_at(slot);
+  s.action.emplace([&timer] { timer.on_posted(); });
+  inbox_.push_back(HeapEntry{timer.deadline_, timer.seq_, slot, s.generation});
+  ++live_count_;
+  return make_id(slot, s.generation);
 }
 
 void EventLoop::drain_inbox() {
@@ -146,34 +158,72 @@ void EventLoop::drop_dead_top() {
   }
 }
 
-bool EventLoop::pop_one() {
+void EventLoop::drop_dead_lane_front() {
+  while (lane_head_ < lane_.size()) {
+    const HeapEntry& front = lane_[lane_head_];
+    if (slot_at(front.slot).generation == front.generation) {
+      return;  // live
+    }
+    release_slot(front.slot);
+    ++lane_head_;
+  }
+  lane_.clear();
+  lane_head_ = 0;
+}
+
+const EventLoop::HeapEntry* EventLoop::next_live() {
   if (!inbox_.empty()) {
     drain_inbox();
   }
   drop_dead_top();
-  if (heap_.empty()) {
-    return false;
+  drop_dead_lane_front();
+  if (lane_head_ == lane_.size()) {
+    return heap_.empty() ? nullptr : &heap_.front();
   }
-  const HeapEntry top = heap_.front();
-  Slot& s = slot_at(top.slot);  // stable across arena growth
-  pop_top();
+  // A heap entry at now_ scheduled before the lane's front (or a timer's
+  // keyed entry) runs first; everything else in the heap is later.
+  const HeapEntry& front = lane_[lane_head_];
+  if (!heap_.empty() && earlier(heap_.front(), front)) {
+    return &heap_.front();
+  }
+  return &front;
+}
+
+void EventLoop::dispatch(const HeapEntry* next) {
+  const HeapEntry entry = *next;
+  if (next == heap_.data()) {
+    pop_top();
+  } else if (++lane_head_ == lane_.size()) {
+    lane_.clear();
+    lane_head_ = 0;
+  }
+  MAHI_ASSERT(entry.at == now_ || lane_head_ == lane_.size());
+  Slot& s = slot_at(entry.slot);  // stable across arena growth
   // Invalidate the id before dispatch: a cancel of this event from
   // inside its own callback (or anything the callback triggers) is a
   // no-op, exactly as if the event had already finished.
   bump_generation(s);
   --live_count_;
-  now_ = top.at;
+  now_ = entry.at;
   // Invoke in place — no callback move. The action may schedule events
   // (the chunked arena never relocates this slot) or cancel anything.
   try {
     s.action();
   } catch (...) {
     s.action.reset();
-    release_slot(top.slot);
+    release_slot(entry.slot);
     throw;
   }
   s.action.reset();
-  release_slot(top.slot);
+  release_slot(entry.slot);
+}
+
+bool EventLoop::pop_one() {
+  const HeapEntry* next = next_live();
+  if (next == nullptr) {
+    return false;
+  }
+  dispatch(next);
   return true;
 }
 
@@ -194,20 +244,66 @@ std::size_t EventLoop::run() {
 std::size_t EventLoop::run_until(Microseconds deadline) {
   MAHI_ASSERT(deadline >= now_);
   std::size_t executed = 0;
-  while (true) {
-    if (!inbox_.empty()) {
-      drain_inbox();
-    }
-    // Drop tombstones at the head so the deadline check sees a live event.
-    drop_dead_top();
-    if (heap_.empty() || heap_.front().at > deadline) {
-      break;
-    }
-    pop_one();
+  // next_live() drops tombstones first, so the deadline check sees a live
+  // event. Lane entries are due now, so they always run.
+  for (const HeapEntry* next = next_live();
+       next != nullptr && next->at <= deadline; next = next_live()) {
+    dispatch(next);
     check_limit(++executed);
   }
   now_ = deadline;
   return executed;
+}
+
+// --- Timer -------------------------------------------------------------------
+
+Timer::Timer(EventLoop& loop, Callback on_fire)
+    : loop_{loop}, on_fire_{std::move(on_fire)} {
+  MAHI_ASSERT_MSG(static_cast<bool>(on_fire_), "null timer callback");
+}
+
+void Timer::arm_at(Microseconds at) {
+  MAHI_ASSERT_MSG(at >= loop_.now_,
+                  "arming into the past: " << at << " < " << loop_.now_);
+  armed_ = true;
+  deadline_ = at;
+  seq_ = loop_.next_seq_++;  // the number schedule_at would have taken
+  if (posted_ != 0) {
+    if (posted_at_ <= at) {
+      return;  // the posted key is earlier; it re-posts when it surfaces
+    }
+    loop_.cancel(posted_);
+  }
+  post();
+}
+
+void Timer::arm_in(Microseconds delay) {
+  EventLoop::check_delay(delay);
+  arm_at(loop_.now_ + delay);
+}
+
+void Timer::disarm() {
+  armed_ = false;
+  if (posted_ != 0) {
+    loop_.cancel(posted_);
+    posted_ = 0;
+  }
+}
+
+void Timer::post() {
+  posted_ = loop_.post_timer(*this);
+  posted_at_ = deadline_;
+  posted_seq_ = seq_;
+}
+
+void Timer::on_posted() {
+  posted_ = 0;
+  if (posted_seq_ != seq_) {
+    post();  // re-armed later since this entry was posted
+    return;
+  }
+  armed_ = false;
+  on_fire_();
 }
 
 }  // namespace mahimahi::net

@@ -10,26 +10,35 @@
 
 namespace mahimahi::net {
 
+class Timer;
+
 /// Discrete-event scheduler with a virtual clock.
 ///
 /// Determinism: events at the same timestamp run in scheduling order
 /// (monotonic sequence number tie-break), so a simulation is a pure
 /// function of its inputs and seeds — the property the whole toolkit's
-/// "reproducible measurement" claim rests on.
+/// "reproducible measurement" claim rests on. Every event is dispatched
+/// at its (time, sequence) key; the fast paths below change where an
+/// entry waits, never its key, so they cannot reorder anything.
 ///
 /// Hot-path design: the pending set is a flat 4-ary min-heap of 24-byte
 /// POD keys ordered by (time, sequence), fed through an unsorted inbox —
 /// newly scheduled events pay for heap insertion only at the next
 /// dispatch, so an event cancelled before then (the dominant fate of
-/// batch-armed timers) never touches the heap. Callbacks live in a
-/// chunked slot arena with stable addresses — growth never moves a
-/// callable, and dispatch invokes in place. Cancellation is lazy:
-/// cancel() bumps the slot's generation (destroying the callback
-/// immediately to release captured resources) and the dead entry is
-/// discarded when it surfaces. EventIds encode (slot, generation), so cancelling an
-/// already-run or reused id is a safe no-op. With callbacks that fit the
-/// inline buffer, a schedule/run cycle performs zero heap allocations once
-/// the arena is warm.
+/// batch-armed timers) never touches the heap. An event scheduled for
+/// now() skips both and joins the same-time lane, a FIFO whose entries
+/// all share now() and arrive in sequence order; dispatch takes the lane's
+/// front unless the heap top is earlier by (time, sequence), and the lane
+/// is always empty when the clock advances. Re-armed deadlines use
+/// Timer (below), which keeps one posted entry instead of a tombstone per
+/// re-arm. Callbacks live in a chunked slot arena with stable addresses —
+/// growth never moves a callable, and dispatch invokes in place.
+/// Cancellation is lazy: cancel() bumps the slot's generation (destroying
+/// the callback immediately to release captured resources) and the dead
+/// entry is discarded when it surfaces. EventIds encode (slot,
+/// generation), so cancelling an already-run or reused id is a safe no-op.
+/// With callbacks that fit the inline buffer, a schedule/run cycle
+/// performs zero heap allocations once the arena is warm.
 class EventLoop {
  public:
   using EventId = std::uint64_t;
@@ -100,6 +109,8 @@ class EventLoop {
   void set_event_limit(std::size_t limit) { event_limit_ = limit; }
 
  private:
+  friend class Timer;
+
   struct HeapEntry {
     Microseconds at;
     std::uint64_t seq;         // FIFO tie-break among same-time events
@@ -142,11 +153,16 @@ class EventLoop {
   }
 
   /// Record the entry for an acquired slot whose action is already in
-  /// place, making the event live. Entries land in the unsorted inbox and
-  /// only pay for heap insertion at the next dispatch — an event
-  /// cancelled before then never touches the heap at all (the dominant
-  /// fate of batch-armed timers).
+  /// place, making the event live. An entry due now joins the same-time
+  /// lane; later ones land in the unsorted inbox and only pay for heap
+  /// insertion at the next dispatch — an event cancelled before then
+  /// never touches the heap at all (the dominant fate of batch-armed
+  /// timers).
   void publish_event(Microseconds at, std::uint32_t slot);
+  /// Post `timer`'s entry at its stored (deadline, sequence) key. Keyed
+  /// entries always go through the inbox and heap: their sequence number
+  /// was reserved earlier, so they may not join the lane's tail.
+  EventId post_timer(Timer& timer);
   /// Move inbox entries into the heap, skipping (and releasing) ones
   /// already cancelled.
   void drain_inbox();
@@ -158,6 +174,13 @@ class EventLoop {
   /// Discard tombstoned entries at the heap top; afterwards the top (if
   /// any) is a live event.
   void drop_dead_top();
+  /// The same for the lane's front.
+  void drop_dead_lane_front();
+  /// The earliest live event by (time, sequence) — the lane's front or
+  /// the heap top — or nullptr when none remains.
+  const HeapEntry* next_live();
+  /// Remove `next` (from next_live()) and run it.
+  void dispatch(const HeapEntry* next);
   bool pop_one();
   void check_limit(std::size_t executed) const;
 
@@ -167,11 +190,64 @@ class EventLoop {
   std::size_t event_limit_{~0ULL};
   std::vector<HeapEntry> heap_;   // 4-ary min-heap on (at, seq)
   std::vector<HeapEntry> inbox_;  // scheduled since the last dispatch
+  /// Same-time lane: entries at now_ in sequence order, front at
+  /// lane_head_. Cleared whenever it drains, so it never spans two times.
+  std::vector<HeapEntry> lane_;
+  std::size_t lane_head_{0};
   /// Chunked arena: addresses are stable across growth, so callbacks are
   /// never moved by other events being scheduled (dispatch relies on this).
   std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
   std::size_t slot_count_{0};
   std::uint32_t free_head_{kNoFreeSlot};
+};
+
+/// A keyed deadline timer: arm, re-arm and disarm a single callback on an
+/// EventLoop at the cost of a field update per re-arm.
+///
+/// Each arm reserves the sequence number that cancel-plus-schedule_at
+/// would have used and records the (deadline, sequence) key, so the
+/// callback fires exactly when — and in exactly the order — the
+/// cancel-and-reschedule pattern would fire it. The timer keeps one posted
+/// entry in the loop: a re-arm to a later key leaves that entry in place,
+/// and when it surfaces early it re-posts itself at the stored key without
+/// running the callback. Only a deadline that moves earlier, or disarm(),
+/// cancels the posted entry. An armed timer is one pending event
+/// (EventLoop::pending_events()); a disarmed one is none.
+///
+/// The timer must not outlive its loop; destroying it disarms it.
+class Timer {
+ public:
+  using Callback = util::InlineCallback<2 * sizeof(void*)>;
+
+  Timer(EventLoop& loop, Callback on_fire);
+  ~Timer() { disarm(); }
+
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+
+  /// Fire at absolute time `at` (>= now), replacing any earlier arming.
+  void arm_at(Microseconds at);
+  /// Fire after `delay` (>= 0), replacing any earlier arming.
+  void arm_in(Microseconds delay);
+  /// Stop the timer; a no-op when it is not armed.
+  void disarm();
+  [[nodiscard]] bool armed() const { return armed_; }
+
+ private:
+  friend class EventLoop;
+
+  void post();
+  /// The posted entry surfaced: fire, or re-post at the stored key.
+  void on_posted();
+
+  EventLoop& loop_;
+  Callback on_fire_;
+  bool armed_{false};
+  Microseconds deadline_{0};
+  std::uint64_t seq_{0};
+  EventLoop::EventId posted_{0};  // 0 when no entry is posted
+  Microseconds posted_at_{0};
+  std::uint64_t posted_seq_{0};
 };
 
 /// A session-scoped view of a shared loop's clock: time zero is the

@@ -191,9 +191,9 @@ void HttpServer::drain_requests(const std::shared_ptr<Session>& session) {
       // across requests.
       const std::weak_ptr<TcpConnection> weak = session->connection;
       fabric_.loop().schedule_in(
-          delay, [weak, wire = std::move(wire), keep_alive] {
+          delay, [weak, wire = std::move(wire), keep_alive]() mutable {
             if (const auto conn = weak.lock()) {
-              conn->send(wire);
+              conn->send(std::move(wire));
               if (!keep_alive) {
                 conn->close();
               }

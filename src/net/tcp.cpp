@@ -117,7 +117,8 @@ TcpConnection::TcpConnection(Fabric& fabric, Side side, Address local,
       local_{local},
       remote_{remote},
       callbacks_{std::move(callbacks)},
-      config_{std::move(config)} {
+      config_{std::move(config)},
+      rto_timer_{loop_, [this] { on_rto_expired(); }} {
   cc::Params params;
   params.mss_bytes = kMssBytes;
   params.initial_cwnd_bytes = config_.initial_window_segments * kMssBytes;
@@ -158,10 +159,7 @@ void TcpConnection::accept_syn(const TcpSegment& syn) {
   arm_retransmit_timer();
 }
 
-TcpConnection::~TcpConnection() {
-  disarm_retransmit_timer();
-  disarm_pacing_timer();
-}
+TcpConnection::~TcpConnection() { disarm_pacing_timer(); }
 
 Microseconds TcpConnection::rto() const {
   if (backoff_rto_ != 0) {
@@ -614,7 +612,6 @@ void TcpConnection::deliver_in_order() {
 }
 
 void TcpConnection::on_rto_expired() {
-  rto_event_ = 0;
   if (state_ == State::kClosed) {
     return;
   }
@@ -681,17 +678,9 @@ void TcpConnection::on_rto_expired() {
   arm_retransmit_timer();
 }
 
-void TcpConnection::arm_retransmit_timer() {
-  disarm_retransmit_timer();
-  rto_event_ = loop_.schedule_in(rto(), [this] { on_rto_expired(); });
-}
+void TcpConnection::arm_retransmit_timer() { rto_timer_.arm_in(rto()); }
 
-void TcpConnection::disarm_retransmit_timer() {
-  if (rto_event_ != 0) {
-    loop_.cancel(rto_event_);
-    rto_event_ = 0;
-  }
-}
+void TcpConnection::disarm_retransmit_timer() { rto_timer_.disarm(); }
 
 void TcpConnection::rtt_sample(Microseconds sample) {
   sample = std::max<Microseconds>(sample, 1);

@@ -292,7 +292,7 @@ class TcpConnection {
   Microseconds srtt_{0};
   Microseconds rttvar_{0};
   Microseconds backoff_rto_{0};  // nonzero while backing off
-  EventLoop::EventId rto_event_{0};
+  Timer rto_timer_;
   int syn_retries_{0};
   int consecutive_rtos_{0};
 

@@ -128,22 +128,23 @@ std::string MetricsSnapshot::to_json_inline() const {
   for (const auto& [name, value] : counters) {
     out += first ? "" : ", ";
     first = false;
-    out += "\"" + util::json_escape(name) + "\": " + std::to_string(value);
+    out.append(1, '"').append(util::json_escape(name)).append("\": ");
+    out += std::to_string(value);
   }
   out += "}, \"gauges\": {";
   first = true;
   for (const auto& [name, value] : gauges) {
     out += first ? "" : ", ";
     first = false;
-    out += "\"" + util::json_escape(name) +
-           "\": " + util::format_fixed(value, 6);
+    out.append(1, '"').append(util::json_escape(name)).append("\": ");
+    out += util::format_fixed(value, 6);
   }
   out += "}, \"histograms\": {";
   first = true;
   for (const auto& [name, stats] : histograms) {
     out += first ? "" : ", ";
     first = false;
-    out += "\"" + util::json_escape(name) + "\": ";
+    out.append(1, '"').append(util::json_escape(name)).append("\": ");
     append_histogram_json(out, stats);
   }
   out += "}}";

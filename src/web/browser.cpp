@@ -46,7 +46,9 @@ Browser::Browser(net::Fabric& fabric, net::Address dns_server,
       loop_{fabric.loop()},
       dns_{fabric, dns_server},
       config_{config},
-      rng_{std::move(rng)} {
+      rng_{std::move(rng)},
+      stall_timer_{loop_, [this] { on_stall(); }},
+      finish_timer_{loop_, [this] { finish(); }} {
   dns_.set_tracer(config_.tcp.tracer, config_.tcp.trace_session);
 }
 
@@ -89,15 +91,7 @@ net::FetchHooks Browser::make_fetch_hooks(const http::Url& url) {
   return hooks;
 }
 
-Browser::~Browser() {
-  if (stall_event_ != 0) {
-    loop_.cancel(stall_event_);
-  }
-  if (finish_event_ != 0) {
-    loop_.cancel(finish_event_);
-  }
-  cancel_fetch_timers();
-}
+Browser::~Browser() { cancel_fetch_timers(); }
 
 void Browser::load(const std::string& url_text, LoadCallback on_done) {
   MAHI_ASSERT_MSG(!loading_, "Browser::load while a load is in progress");
@@ -502,9 +496,10 @@ void Browser::on_response(const http::Url& url, http::Response response) {
   } else {
     done = loop_.now() + cost;
   }
-  loop_.schedule_at(done, [this, url, kind, body = std::move(response.body)]() {
-    on_object_computed(url, kind, std::move(body));
-  });
+  loop_.schedule_at(
+      done, [this, url, kind, body = std::move(response.body)]() mutable {
+        on_object_computed(url, kind, std::move(body));
+      });
 }
 
 void Browser::on_object_computed(const http::Url& url, http::ResourceKind kind,
@@ -580,13 +575,7 @@ void Browser::maybe_finish() {
   // All objects delivered and computed: finish after the final layout.
   const Microseconds at =
       std::max(loop_.now(), main_thread_busy_until_) + config_.final_layout_cost;
-  if (finish_event_ != 0) {
-    loop_.cancel(finish_event_);
-  }
-  finish_event_ = loop_.schedule_at(at, [this] {
-    finish_event_ = 0;
-    finish();
-  });
+  finish_timer_.arm_at(at);
 }
 
 void Browser::finish() {
@@ -594,10 +583,7 @@ void Browser::finish() {
     return;
   }
   loading_ = false;
-  if (stall_event_ != 0) {
-    loop_.cancel(stall_event_);
-    stall_event_ = 0;
-  }
+  stall_timer_.disarm();
   result_.success = result_.objects_failed == 0 && result_.objects_loaded > 0;
   result_.page_load_time = loop_.now() - started_at_;
   result_.started_at = started_at_;
@@ -744,37 +730,33 @@ void Browser::fill_degraded_plt() {
       std::clamp<Microseconds>(at, 0, result_.page_load_time);
 }
 
-void Browser::arm_stall_timer() {
-  if (stall_event_ != 0) {
-    loop_.cancel(stall_event_);
+void Browser::arm_stall_timer() { stall_timer_.arm_in(config_.stall_timeout); }
+
+void Browser::on_stall() {
+  if (!loading_) {
+    return;
   }
-  stall_event_ = loop_.schedule_in(config_.stall_timeout, [this] {
-    stall_event_ = 0;
-    if (!loading_) {
-      return;
-    }
-    MAHI_WARN("browser") << "page load stalled with " << outstanding_objects_
-                         << " objects outstanding";
-    result_.errors.push_back("stall timeout");
-    result_.objects_failed += outstanding_objects_;
-    outstanding_objects_ = 0;
-    loading_ = false;
-    result_.success = false;
-    result_.page_load_time = loop_.now() - started_at_;
-    result_.started_at = started_at_;
-    fill_degraded_plt();
-    if (tracer() != nullptr) {
-      tracer()->page(obs::PageRecord{config_.tcp.trace_session, page_url_,
-                                     started_at_, result_.page_load_time,
-                                     result_.degraded_page_load_time,
-                                     result_.success});
-    }
-    pools_.clear();
-    cancel_fetch_timers();
-    LoadCallback done = std::move(on_done_);
-    on_done_ = nullptr;
-    done(std::move(result_));
-  });
+  MAHI_WARN("browser") << "page load stalled with " << outstanding_objects_
+                       << " objects outstanding";
+  result_.errors.push_back("stall timeout");
+  result_.objects_failed += outstanding_objects_;
+  outstanding_objects_ = 0;
+  loading_ = false;
+  result_.success = false;
+  result_.page_load_time = loop_.now() - started_at_;
+  result_.started_at = started_at_;
+  fill_degraded_plt();
+  if (tracer() != nullptr) {
+    tracer()->page(obs::PageRecord{config_.tcp.trace_session, page_url_,
+                                   started_at_, result_.page_load_time,
+                                   result_.degraded_page_load_time,
+                                   result_.success});
+  }
+  pools_.clear();
+  cancel_fetch_timers();
+  LoadCallback done = std::move(on_done_);
+  on_done_ = nullptr;
+  done(std::move(result_));
 }
 
 }  // namespace mahimahi::web

@@ -201,6 +201,8 @@ class Browser {
   void maybe_finish();
   void finish();
   void arm_stall_timer();
+  /// The stall timer fired: fail the load with what is still outstanding.
+  void on_stall();
 
   // --- resilience layer ---
   /// One attempt at `url` failed (connection error, DNS failure, deadline).
@@ -239,8 +241,8 @@ class Browser {
   std::map<std::string, FetchState> fetches_;
   Microseconds last_success_time_{0};
   PageLoadResult result_;
-  net::EventLoop::EventId stall_event_{0};
-  net::EventLoop::EventId finish_event_{0};
+  net::Timer stall_timer_;
+  net::Timer finish_timer_;
 };
 
 }  // namespace mahimahi::web

@@ -73,6 +73,46 @@ TEST(ToBytes, ResponseWireFormatWithBody) {
             "hello");
 }
 
+TEST(ToBytes, ResponseWireFormatWithHeadersAndBody) {
+  Response resp;
+  resp.status = 404;
+  resp.reason = "Not Found";
+  resp.headers.add("Content-Type", "text/html");
+  resp.headers.add("Set-Cookie", "a=1");
+  resp.headers.add("Content-Length", "9");
+  resp.body = "<p>no</p>";
+  EXPECT_EQ(to_bytes(resp),
+            "HTTP/1.1 404 Not Found\r\n"
+            "Content-Type: text/html\r\n"
+            "Set-Cookie: a=1\r\n"
+            "Content-Length: 9\r\n"
+            "\r\n"
+            "<p>no</p>");
+}
+
+TEST(ToBytes, ResponseWireFormatEmptyBody) {
+  Response resp;
+  resp.version = "HTTP/1.0";
+  resp.status = 204;
+  resp.reason = "No Content";
+  EXPECT_EQ(to_bytes(resp), "HTTP/1.0 204 No Content\r\n\r\n");
+}
+
+TEST(ToBytes, RequestWireFormatWithBody) {
+  Request r;
+  r.method = Method::kPost;
+  r.target = "/submit?x=1";
+  r.headers.add("Host", "example.com:8080");
+  r.headers.add("Content-Length", "3");
+  r.body = "a=b";
+  EXPECT_EQ(to_bytes(r),
+            "POST /submit?x=1 HTTP/1.1\r\n"
+            "Host: example.com:8080\r\n"
+            "Content-Length: 3\r\n"
+            "\r\n"
+            "a=b");
+}
+
 TEST(FinalizeContentLength, SkipsWhenChunked) {
   Response resp;
   resp.headers.add("Transfer-Encoding", "chunked");

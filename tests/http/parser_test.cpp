@@ -2,6 +2,37 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+namespace {
+
+// Largest single heap allocation since the last reset, so a test can bound
+// what a parser reserves. The replacement below only records the size; it
+// allocates with malloc exactly like the default.
+std::atomic<std::size_t> largest_allocation{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  std::size_t seen = largest_allocation.load(std::memory_order_relaxed);
+  while (size > seen && !largest_allocation.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc{};
+}
+
+// Not inlined, so the compiler never pairs this free() with a new-expression.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace mahimahi::http {
 namespace {
 
@@ -248,6 +279,68 @@ TEST(ResponseParser, HeaderSectionLimitEnforced) {
   huge += "X-Pad: " + std::string(MessageParser::kMaxHeaderBytes + 10, 'a') + "\r\n";
   p.push(huge);
   EXPECT_TRUE(p.failed());
+}
+
+TEST(ResponseParser, BodySplitAtEveryPointParsesLikeOnePush) {
+  const std::string wire =
+      "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
+      "Content-Length: 26\r\n\r\nabcdefghijklmnopqrstuvwxyz";
+  ResponseParser whole;
+  whole.notify_request(Method::kGet);
+  whole.push(wire);
+  ASSERT_TRUE(whole.has_message());
+  const Response expected = whole.pop();
+  for (std::size_t split = 0; split <= wire.size(); ++split) {
+    ResponseParser p;
+    p.notify_request(Method::kGet);
+    p.push(std::string_view{wire}.substr(0, split));
+    p.push(std::string_view{wire}.substr(split));
+    ASSERT_TRUE(p.has_message()) << "split " << split;
+    const Response r = p.pop();
+    EXPECT_EQ(r.status, expected.status) << "split " << split;
+    EXPECT_EQ(r.headers.get("Content-Type"), "text/plain") << "split " << split;
+    EXPECT_EQ(r.body, expected.body) << "split " << split;
+    EXPECT_EQ(p.buffered_bytes(), 0u) << "split " << split;
+    EXPECT_FALSE(p.failed()) << "split " << split;
+  }
+}
+
+TEST(ResponseParser, PipelinedResponseAfterDirectBodyBytes) {
+  // The first response's body tail and the whole second response arrive in
+  // one push, after the headers — the second still parses, at every split.
+  const std::string first =
+      "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n0123456789";
+  const std::string second =
+      "HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\ngone";
+  const std::string wire = first + second;
+  for (std::size_t split = 0; split <= wire.size(); ++split) {
+    ResponseParser p;
+    p.notify_request(Method::kGet);
+    p.notify_request(Method::kGet);
+    p.push(std::string_view{wire}.substr(0, split));
+    p.push(std::string_view{wire}.substr(split));
+    ASSERT_EQ(p.pending(), 2u) << "split " << split;
+    EXPECT_EQ(p.pop().body, "0123456789") << "split " << split;
+    const Response r = p.pop();
+    EXPECT_EQ(r.status, 404) << "split " << split;
+    EXPECT_EQ(r.body, "gone") << "split " << split;
+    EXPECT_EQ(p.buffered_bytes(), 0u) << "split " << split;
+  }
+}
+
+TEST(ResponseParser, HugeContentLengthReservesAtMostTheCap) {
+  // The peer controls Content-Length: claiming a terabyte must not make
+  // the parser reserve (or fail to reserve) a terabyte.
+  ResponseParser p;
+  p.notify_request(Method::kGet);
+  largest_allocation = 0;
+  EXPECT_NO_THROW(p.push(
+      "HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n0123456789"));
+  EXPECT_LE(largest_allocation.load(), ResponseParser::kMaxBodyReserve + 1);
+  EXPECT_FALSE(p.failed());
+  EXPECT_FALSE(p.has_message());
+  p.push("more");
+  EXPECT_FALSE(p.failed());
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <array>
 #include <functional>
+#include <memory>
+#include <random>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -328,6 +331,199 @@ TEST(EventLoop, HeapGrowthStressKeepsDeterministicOrder) {
         (executed[i - 1].first == executed[i].first &&
          executed[i - 1].second < executed[i].second);
     ASSERT_TRUE(ordered) << "event " << i << " out of order";
+  }
+}
+
+// --- same-time lane ----------------------------------------------------------
+
+TEST(EventLoop, SameTimeLaneRunsAfterEarlierScheduledEventsAtThatTime) {
+  EventLoop loop;
+  std::vector<int> order;
+  loop.schedule_at(10, [&] {
+    order.push_back(1);
+    loop.schedule_at(10, [&] { order.push_back(3); });  // due now: the lane
+    loop.schedule_in(0, [&] { order.push_back(4); });
+  });
+  loop.schedule_at(10, [&] { order.push_back(2); });  // scheduled earlier
+  loop.schedule_at(11, [&] { order.push_back(5); });
+  EXPECT_EQ(loop.run(), 5u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(loop.now(), 11);
+}
+
+TEST(EventLoop, SameTimeLaneEventCanBeCancelled) {
+  EventLoop loop;
+  bool ran = false;
+  int after = 0;
+  loop.schedule_at(10, [&] {
+    const auto id = loop.schedule_in(0, [&] { ran = true; });
+    loop.schedule_in(0, [&] { ++after; });
+    EXPECT_EQ(loop.pending_events(), 2u);
+    loop.cancel(id);
+    EXPECT_EQ(loop.pending_events(), 1u);
+  });
+  loop.run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(after, 1);
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+TEST(EventLoop, RunUntilDispatchesSameTimeLane) {
+  EventLoop loop;
+  std::vector<int> order;
+  loop.schedule_at(0, [&] { order.push_back(1); });  // now() is 0: the lane
+  loop.schedule_at(0, [&] { order.push_back(2); });
+  EXPECT_EQ(loop.run_until(0), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  loop.schedule_at(5, [&] {
+    order.push_back(3);
+    loop.schedule_in(0, [&] { order.push_back(4); });
+  });
+  EXPECT_EQ(loop.run_until(5), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_TRUE(loop.idle());
+}
+
+// --- keyed timers ------------------------------------------------------------
+
+TEST(Timer, PendingEventsCountsAnArmedTimerOnce) {
+  EventLoop loop;
+  int fired = 0;
+  Timer timer{loop, [&] { ++fired; }};
+  EXPECT_FALSE(timer.armed());
+  timer.arm_at(100);
+  EXPECT_EQ(loop.pending_events(), 1u);
+  timer.arm_at(200);  // later: the posted entry stays
+  EXPECT_EQ(loop.pending_events(), 1u);
+  timer.arm_at(50);  // earlier: the posted entry moves
+  EXPECT_EQ(loop.pending_events(), 1u);
+  EXPECT_TRUE(timer.armed());
+  timer.disarm();
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(loop.pending_events(), 0u);
+  timer.arm_in(30);
+  timer.arm_in(70);
+  EXPECT_EQ(loop.run(), 2u);  // the early entry re-posts, then fires
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(loop.now(), 70);
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
+TEST(Timer, DestructionDisarms) {
+  EventLoop loop;
+  bool fired = false;
+  {
+    Timer timer{loop, [&] { fired = true; }};
+    timer.arm_in(10);
+  }
+  EXPECT_EQ(loop.pending_events(), 0u);
+  loop.run();
+  EXPECT_FALSE(fired);
+}
+
+// One (time, tag, pending events) entry per fire: plain events log their
+// tag, timers log -1 - index.
+using FireLog = std::vector<std::tuple<Microseconds, int, std::size_t>>;
+constexpr int kScriptTimers = 4;
+
+/// The reference: every re-arm cancels the pending event and schedules a
+/// new one, as code did before Timer existed.
+class RawTimers {
+ public:
+  RawTimers(EventLoop& loop, std::function<void(int)>& on_fire)
+      : loop_{loop}, on_fire_{on_fire} {}
+  void arm(int index, Microseconds at) {
+    auto& id = ids_[static_cast<std::size_t>(index)];
+    loop_.cancel(id);
+    id = loop_.schedule_at(at, [this, index, &id] {
+      id = 0;
+      on_fire_(index);
+    });
+  }
+  void disarm(int index) {
+    auto& id = ids_[static_cast<std::size_t>(index)];
+    loop_.cancel(id);
+    id = 0;
+  }
+
+ private:
+  EventLoop& loop_;
+  std::function<void(int)>& on_fire_;
+  std::array<EventLoop::EventId, kScriptTimers> ids_{};
+};
+
+class KeyedTimers {
+ public:
+  KeyedTimers(EventLoop& loop, std::function<void(int)>& on_fire) {
+    for (int index = 0; index < kScriptTimers; ++index) {
+      timers_.push_back(
+          std::make_unique<Timer>(loop, [&on_fire, index] { on_fire(index); }));
+    }
+  }
+  void arm(int index, Microseconds at) {
+    timers_[static_cast<std::size_t>(index)]->arm_at(at);
+  }
+  void disarm(int index) {
+    timers_[static_cast<std::size_t>(index)]->disarm();
+  }
+
+ private:
+  std::vector<std::unique_ptr<Timer>> timers_;
+};
+
+/// A seeded random script: events and timer fires arm, re-arm and disarm
+/// timers and schedule plain events, all at colliding timestamps (delays of
+/// 0, 1, 2 and 5). The script's choices are drawn in dispatch order, so any
+/// reordering changes the rest of the log.
+template <typename Timers>
+FireLog run_timer_script(std::uint64_t seed) {
+  EventLoop loop;
+  std::mt19937_64 rng{seed};
+  FireLog log;
+  int budget = 2000;
+  int next_tag = 1;
+  const std::array<Microseconds, 5> delays{0, 1, 1, 2, 5};
+  const auto delay = [&] { return delays[rng() % delays.size()]; };
+  std::function<void(int)> on_fire;
+  Timers timers{loop, on_fire};
+  std::function<void()> act = [&] {
+    const auto ops = 1 + rng() % 4;
+    for (std::uint64_t op = 0; op < ops && budget > 0; ++op, --budget) {
+      const auto pick = rng() % 10;
+      const auto index = static_cast<int>(rng() % kScriptTimers);
+      if (pick < 5) {
+        timers.arm(index, loop.now() + delay());
+      } else if (pick < 7) {
+        timers.disarm(index);
+      } else {
+        const int tag = next_tag++;
+        loop.schedule_in(delay(), [&, tag] {
+          log.emplace_back(loop.now(), tag, loop.pending_events());
+          act();
+        });
+      }
+    }
+  };
+  on_fire = [&](int index) {
+    log.emplace_back(loop.now(), -1 - index, loop.pending_events());
+    act();
+  };
+  loop.schedule_at(0, [&] { act(); });
+  for (int i = 0; i < 8; ++i) {
+    loop.schedule_at(i, [&] { act(); });
+  }
+  loop.run();
+  EXPECT_EQ(loop.pending_events(), 0u);
+  return log;
+}
+
+TEST(Timer, MatchesCancelAndRescheduleOnRandomScripts) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const FireLog keyed = run_timer_script<KeyedTimers>(seed);
+    const FireLog raw = run_timer_script<RawTimers>(seed);
+    ASSERT_GT(raw.size(), 200u) << "seed " << seed;
+    ASSERT_EQ(keyed, raw) << "seed " << seed;
   }
 }
 
